@@ -276,47 +276,9 @@ class HeterogeneousAllocator:
                     size, attribute, initiator, name,
                     allow_partial, allow_fallback, scope,
                 )
-        # Warm fast path — recycle a pooled buffer of the valid plan for
-        # this request triple.  Twin of _fast_alloc (keep in lockstep):
-        # inlined here because a delegating call costs more than the
-        # entire recycle.
-        if name is None and allow_fallback and not allow_partial:
-            try:
-                plan = self._plans.get((attribute, initiator, scope))
-            except TypeError:
-                plan = None
-            if (
-                plan is not None
-                and plan.generation == self.memattrs._generation
-                and self._qc.enabled
-            ):
-                pool = plan.pool
-                if pool:
-                    buf = pool[-1]
-                    alloc = buf.allocation
-                    if alloc.size_bytes == size:
-                        state = plan.state
-                        pages = alloc.pages_by_node[plan.node]
-                        if (
-                            state.free_pages >= pages
-                            and self.buffers.setdefault(buf.name, buf) is buf
-                        ):
-                            del pool[-1]
-                            state.free_pages -= pages
-                            alloc.freed = False
-                            self._kernel_live[alloc.allocation_id] = alloc
-                            return buf
-                buf = self._plan_alloc(plan, size, attribute)
-                if buf is not None:
-                    return buf
-        return self._mem_alloc_impl(
-            size,
-            attribute,
-            initiator,
-            name=name,
-            allow_partial=allow_partial,
-            allow_fallback=allow_fallback,
-            scope=scope,
+        return self._alloc_route(
+            size, attribute, initiator, name,
+            allow_partial, allow_fallback, scope,
         )
 
     def _mem_alloc_traced(
@@ -365,8 +327,8 @@ class HeterogeneousAllocator:
         self, size, attribute, initiator, name,
         allow_partial, allow_fallback, scope,
     ) -> Buffer:
-        """Fast path when eligible, else the legacy body — the placement
-        decisions are identical to the untraced route in mem_alloc."""
+        """Fast path when eligible, else the legacy body; the one
+        placement route of both the traced and untraced mem_alloc."""
         if name is None and allow_fallback and not allow_partial:
             buf = self._fast_alloc(size, attribute, initiator, scope)
             if buf is not None:
@@ -384,10 +346,8 @@ class HeterogeneousAllocator:
     def _fast_alloc(self, size, attribute, initiator, scope) -> Buffer | None:
         """Plan-cache fast allocation; None means "take the legacy path".
 
-        Twin of the inline block in mem_alloc — keep in lockstep.  The
-        only addition is kernel counter parity: a recycled commit never
-        reaches the kernel's instrumented allocate, so it emits the page
-        accounting counters itself.
+        A recycled commit never reaches the kernel's instrumented
+        allocate, so it emits the page accounting counters itself.
         """
         try:
             plan = self._plans.get((attribute, initiator, scope))

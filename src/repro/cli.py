@@ -9,9 +9,8 @@ the point of §IV-A.
 
 ``repro-search`` runs the §V-A placement search oracle over a Graph500
 workload on any preset platform, exposing the search engine's knobs:
-``--top-k`` (bounded best-k heap), ``--workers`` (process fan-out),
-``--budget`` (pricing budget with truncation report), ``--no-prune``
-(disable branch-and-bound).
+``--top-k`` (bounded best-k heap), ``--budget`` (pricing budget with
+truncation report), ``--no-prune`` (disable branch-and-bound).
 
 ``repro-analyze`` exposes the quantitative static analyzer: symbolic
 per-buffer footprints of the registered app kernels, evaluated traffic
@@ -28,7 +27,7 @@ import sys
 from .bench import characterize_machine, feed_attributes
 from .core import MemAttrs, discover_from_sysfs, render_cache_stats, render_memattrs
 from .core.ranking import rank_targets
-from .errors import ReproError
+from .errors import ReproError, ValidationError
 from .firmware import build_sysfs
 from .hw import PLATFORM_REGISTRY, get_platform
 from .obs.cli import add_obs_arguments, finish_obs, start_obs
@@ -134,6 +133,16 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def parse_nodes(text: str, flag: str) -> tuple[int, ...]:
+    """Parse a comma-separated NUMA node list given to ``flag``."""
+    try:
+        return tuple(int(n) for n in text.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"{flag} must be comma-separated node numbers, got {text!r}"
+        ) from None
+
+
 def build_search_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-search",
@@ -166,12 +175,6 @@ def build_search_parser() -> argparse.ArgumentParser:
         help="keep only the k best placements; 0 keeps every candidate",
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes pricing candidates in parallel",
-    )
-    parser.add_argument(
         "--budget",
         type=int,
         default=None,
@@ -202,14 +205,14 @@ def search_main(argv: list[str] | None = None) -> int:
     start_obs(args)
     machine = get_platform(args.platform)
     engine = SimEngine(machine)
-    nodes = tuple(int(n) for n in args.nodes.split(","))
-    model = TrafficModel.analytic(args.scale)
-    cfg = Graph500Config(scale=args.scale, nroots=1, threads=args.threads)
-    phases = model.phases(cfg, per_level=args.per_level)
     critical = (
         tuple(args.critical.split(",")) if args.critical is not None else None
     )
     try:
+        nodes = parse_nodes(args.nodes, "--nodes")
+        model = TrafficModel.analytic(args.scale)
+        cfg = Graph500Config(scale=args.scale, nroots=1, threads=args.threads)
+        phases = model.phases(cfg, per_level=args.per_level)
         result = search_placements(
             engine,
             phases,
@@ -218,7 +221,6 @@ def search_main(argv: list[str] | None = None) -> int:
             default_node=nodes[0],
             critical_buffers=critical,
             top_k=args.top_k or None,
-            workers=args.workers,
             max_candidates=args.budget,
             prune=not args.no_prune,
         )

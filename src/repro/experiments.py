@@ -20,8 +20,9 @@ from typing import Callable
 from . import quick_setup
 from .apps import StreamApp
 from .apps.graph500 import Graph500Config, Graph500Driver, TrafficModel
+from .cli import parse_nodes
 from .core import MemAttrs, discover_from_sysfs, render_memattrs
-from .errors import CapacityError
+from .errors import CapacityError, ReproError
 from .firmware import build_sysfs
 from .hw import get_platform
 from .obs.cli import add_obs_arguments, finish_obs, start_obs
@@ -188,7 +189,6 @@ def search(
     scale: int = 20,
     nodes: tuple[int, ...] = (0, 2),
     top_k: int | None = 8,
-    workers: int = 1,
     budget: int | None = None,
     per_level: bool = False,
     hints: str = "none",
@@ -212,7 +212,6 @@ def search(
         default_node=nodes[0],
         pus=_XEON_PUS,
         top_k=top_k,
-        workers=workers,
         max_candidates=budget,
     )
     buffers = [b for b, _ in result.candidates[0].assignment]
@@ -285,12 +284,6 @@ def main(argv: list[str] | None = None) -> int:
         help="keep only the k best placements (0 = keep all)",
     )
     group.add_argument(
-        "--search-workers",
-        type=int,
-        default=1,
-        help="worker processes pricing candidates in parallel",
-    )
-    group.add_argument(
         "--search-budget",
         type=int,
         default=None,
@@ -321,18 +314,19 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         print(f"\n{'=' * 70}\n{name}\n{'=' * 70}")
         if name == "search":
-            nodes = tuple(int(n) for n in args.search_nodes.split(","))
-            print(
-                search(
+            try:
+                report = search(
                     scale=args.search_scale,
-                    nodes=nodes,
+                    nodes=parse_nodes(args.search_nodes, "--search-nodes"),
                     top_k=args.search_top_k or None,
-                    workers=args.search_workers,
                     budget=args.search_budget,
                     per_level=args.search_per_level,
                     hints=args.search_hints,
                 )
-            )
+            except ReproError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            print(report)
         else:
             print(EXPERIMENTS[name]())
     finish_obs(args)

@@ -10,7 +10,7 @@ from repro.sensitivity import exhaustive_search, search_placements
 from repro.sensitivity.search import _BoundModel, _SearchSpace
 from repro.sim import BufferAccess, KernelPhase, PatternKind
 from repro.units import GB, MiB
-from tests.conftest import XEON_PUS
+from tests.conftest import KNL_PUS, XEON_PUS
 
 
 @pytest.fixture(scope="module")
@@ -190,45 +190,6 @@ class TestDeterminism:
             )
         assert sorted(combos) != combos or True  # full order asserted above
 
-    def test_parallel_identical_to_serial_with_ties(self, xeon_engine):
-        phases, sizes = _tied_workload()
-        serial = search_placements(
-            xeon_engine, phases, sizes, (0, 2), default_node=0, pus=XEON_PUS,
-        )
-        parallel = search_placements(
-            xeon_engine, phases, sizes, (0, 2), default_node=0, pus=XEON_PUS,
-            workers=2, force_parallel=True,
-        )
-        assert parallel.candidates == serial.candidates
-        assert parallel.stats.workers == 2
-        assert parallel.stats.dispatch == "parallel"
-
-    def test_parallel_identical_to_serial_graph500(self, xeon_engine, g500_setup):
-        phases, sizes = g500_setup
-        serial = search_placements(
-            xeon_engine, phases, sizes, (0, 1, 2, 3),
-            default_node=0, pus=XEON_PUS,
-        )
-        parallel = search_placements(
-            xeon_engine, phases, sizes, (0, 1, 2, 3),
-            default_node=0, pus=XEON_PUS, workers=3, force_parallel=True,
-        )
-        # Bit-identical seconds, same ordering, same assignments.
-        assert parallel.candidates == serial.candidates
-
-    def test_parallel_topk_identical_to_serial(self, xeon_engine, g500_setup):
-        phases, sizes = g500_setup
-        serial = search_placements(
-            xeon_engine, phases, sizes, (0, 1, 2, 3),
-            default_node=0, pus=XEON_PUS, top_k=5,
-        )
-        parallel = search_placements(
-            xeon_engine, phases, sizes, (0, 1, 2, 3),
-            default_node=0, pus=XEON_PUS, top_k=5, workers=4,
-            force_parallel=True,
-        )
-        assert parallel.candidates == serial.candidates
-
     def test_reuse_phase_pricings_bit_identity(self, xeon_engine, g500_setup):
         phases, sizes = g500_setup
         memoized = search_placements(
@@ -243,152 +204,47 @@ class TestDeterminism:
         assert memoized.candidates == direct.candidates
 
 
-class TestDispatcher:
-    """The cost-model dispatcher behind ``workers=N``."""
-
-    def test_small_space_falls_back_to_serial(
-        self, xeon_engine, g500_setup, monkeypatch
-    ):
-        import repro.sensitivity.search as search_mod
-
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 8)
-        phases, sizes = g500_setup
-        result = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, top_k=4, workers=4,
+class TestSingleProcess:
+    def test_workers_keyword_is_ignored_on_knl_exhaustive(self, knl_engine):
+        """``workers=`` is accepted for old callers and changes nothing,
+        even on the 8-node KNL exhaustive space (8^4 = 4096 leaves)."""
+        model = TrafficModel.analytic(18)
+        phases = model.phases(
+            Graph500Config(scale=18, nroots=1, threads=16), per_level=True
         )
-        assert result.stats.dispatch == "serial"
-        assert result.stats.workers == 1
-        assert result.stats.requested_workers == 4
-        assert "break-even" in result.stats.dispatch_reason
-        assert "dispatch: serial" in result.stats.report()
-
-    def test_single_cpu_falls_back_to_serial(
-        self, xeon_engine, g500_setup, monkeypatch
-    ):
-        import repro.sensitivity.search as search_mod
-
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 1)
-        phases, sizes = g500_setup
-        result = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, workers=4,
-        )
-        assert result.stats.dispatch == "serial"
-        assert "single usable CPU" in result.stats.dispatch_reason
-
-    def test_small_budget_skips_the_probe(
-        self, xeon_engine, g500_setup, monkeypatch
-    ):
-        import repro.sensitivity.search as search_mod
-
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 8)
-        phases, sizes = g500_setup
-        result = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, workers=4, max_candidates=8,
-        )
-        assert result.stats.dispatch == "serial"
-        assert "pricing budget" in result.stats.dispatch_reason
-
-    def test_probe_exhaustion_fans_out_identically(
-        self, xeon_engine, g500_setup, monkeypatch
-    ):
-        """A probe too small for the space dispatches parallel, and the
-        parallel results are identical to the plain serial walk."""
-        import repro.sensitivity.search as search_mod
-
-        phases, sizes = g500_setup
-        serial = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, top_k=4,
-        )
-        monkeypatch.setattr(search_mod.os, "cpu_count", lambda: 8)
-        monkeypatch.setattr(search_mod, "_PARALLEL_BREAK_EVEN_LEAVES", 1)
-        dispatched = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, top_k=4, workers=2,
-        )
-        assert dispatched.stats.dispatch == "parallel"
-        assert dispatched.stats.workers == 2
-        assert dispatched.stats.probe_leaves >= 1
-        assert "probe exhausted" in dispatched.stats.dispatch_reason
-        assert dispatched.candidates == serial.candidates
-
-    def test_forced_parallel_skips_probe(self, xeon_engine, g500_setup):
-        phases, sizes = g500_setup
-        result = search_placements(
-            xeon_engine, phases, sizes, (0, 2),
-            default_node=0, pus=XEON_PUS, top_k=4, workers=2,
-            force_parallel=True,
-        )
-        assert result.stats.dispatch == "parallel"
-        assert result.stats.probe_leaves == 0
-        assert "forced" in result.stats.dispatch_reason
-
-
-class TestSharedBoundTable:
-    """Parent-built bound tables round-trip through shared memory."""
-
-    def _model(self, engine, phases, sizes, nodes):
-        from repro.sensitivity.search import _SharedBoundTable
-
-        critical = tuple(sorted({a.buffer for p in phases for a in p.accesses}))
-        prepared = tuple(engine.prepare_phase(p, pus=XEON_PUS) for p in phases)
-        model = _BoundModel(engine, prepared, critical, nodes, nodes[0])
-        return model, critical, _SharedBoundTable
-
-    def test_roundtrip_bounds_bit_identical(self, xeon_engine, g500_setup):
-        import itertools
-
-        phases, sizes = g500_setup
-        nodes = (0, 2)
-        model, critical, _SharedBoundTable = self._model(
-            xeon_engine, phases, sizes, nodes
-        )
-        shared = _SharedBoundTable(model)
-        try:
-            attached = _SharedBoundTable.attach(shared.meta)
-        finally:
-            shared.unlink()
-        assert attached.pricings == 0
-        for depth in range(len(critical) + 1):
-            for prefix in itertools.product(nodes, repeat=depth):
-                assert attached.bound_for(prefix) == model.bound_for(prefix)
-
-    def test_multi_phase_touches_survive(self, xeon_engine):
-        """A buffer touched in several phases keeps distinct entries."""
-        from repro.sensitivity.search import _SharedBoundTable
-
-        def phase(name, pattern, read):
-            return KernelPhase(
-                name=name,
-                threads=8,
-                accesses=(
-                    BufferAccess(
-                        buffer="x", pattern=pattern,
-                        bytes_read=read, working_set=64 * MiB,
-                    ),
-                ),
+        nodes = tuple(range(8))
+        runs = [
+            search_placements(
+                knl_engine, phases, model.buffer_sizes(), nodes,
+                default_node=0, pus=KNL_PUS, workers=workers,
             )
+            for workers in (1, 2)
+        ]
+        assert runs[0].stats.space_size == 4096
+        # The optimum recorded for knl_exhaustive@18 in perfbench/expected.json.
+        assert runs[0].best.seconds == 0.07653664433957605
+        assert runs[0].best.as_dict() == dict.fromkeys(
+            ("csr_offsets", "csr_targets", "frontier", "parent"), 0
+        )
+        assert runs[1].candidates == runs[0].candidates
+        assert runs[1].stats == runs[0].stats
+        assert runs[1].stats.workers == 1
+        assert runs[1].stats.dispatch == "serial"
 
-        phases = (
-            phase("p0", PatternKind.STREAM, 64 * MiB),
-            phase("p1", PatternKind.RANDOM, 16 * MiB),
+    def test_default_report_text_is_pinned(self, xeon_engine, g500_setup):
+        """perfbench/expected.json pins a digest of `repro-experiments all`
+        stdout, which carries this report verbatim."""
+        phases, sizes = g500_setup
+        result = search_placements(
+            xeon_engine, phases, sizes, (0, 2), default_node=0,
+            pus=XEON_PUS, top_k=4,
         )
-        prepared = tuple(
-            xeon_engine.prepare_phase(p, pus=XEON_PUS) for p in phases
+        assert result.stats.report() == (
+            "placement search: space 16, priced 8 leaves, kept 4\n"
+            "  pruned: 0 by capacity, 8 by bound\n"
+            "  engine pricings: 8 slice + 8 bound, workers: 1\n"
+            "  dispatch: serial (requested workers 1; parallel not requested)"
         )
-        model = _BoundModel(xeon_engine, prepared, ("x",), (0, 2), 0)
-        assert len(model._touch[0]) == 2
-        shared = _SharedBoundTable(model)
-        try:
-            attached = _SharedBoundTable.attach(shared.meta)
-        finally:
-            shared.unlink()
-        assert attached._touch == model._touch
-        for prefix in ((), (0,), (2,)):
-            assert attached.bound_for(prefix) == model.bound_for(prefix)
 
 
 def _random_workload(rng: random.Random):
@@ -544,17 +400,20 @@ class TestBatchLeafPath:
         import repro.sensitivity.search as mod
         phases, sizes = g500_setup
         variants = {}
-        for label, flag, min_leaves in (
-            ("batch", True, 0),
-            ("scalar-fallback", True, 10 ** 9),
-            ("lazy", False, 0),
+        for label, flag, min_leaves, max_rows in (
+            ("batch", True, 0, 1024),
+            ("batch-chunked", True, 0, 3),
+            ("scalar-fallback", True, 10 ** 9, 1024),
+            ("lazy", False, 0, 1024),
         ):
             monkeypatch.setattr(mod, "_BATCH_LEAF_PATH", flag)
             monkeypatch.setattr(mod, "_BATCH_MIN_LEAVES", min_leaves)
+            monkeypatch.setattr(mod, "_BATCH_MAX_ROWS", max_rows)
             variants[label] = self._signature(
                 self._run(xeon_engine, phases, sizes, prune=False, top_k=6)
             )
         assert variants["batch"] == variants["lazy"]
+        assert variants["batch-chunked"] == variants["lazy"]
         assert variants["scalar-fallback"] == variants["lazy"]
 
     def test_batch_equals_lazy_randomized(self, xeon_engine, monkeypatch):
@@ -587,7 +446,7 @@ class TestBatchLeafPath:
             engine, phases, sizes, (0, 2),
             tuple(sizes), tuple(sizes), 0, None, XEON_PUS, True,
         )
-        batch_out, _ = space._run_batch(top_k=None, budget=None, prefixes=None)
+        batch_out, _ = space._run_batch(top_k=None, budget=None)
         memo_after_batch = dict(space.memo)
         lazy = {
             tuple(cmb): space.price_assignment(dict(zip(space.critical, cmb)))

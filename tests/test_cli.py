@@ -57,7 +57,6 @@ class TestSearchCli:
         assert args.platform == "xeon-cascadelake-1lm"
         assert args.nodes == "0,2"
         assert args.top_k == 8
-        assert args.workers == 1
         assert args.budget is None
         assert not args.no_prune
 
@@ -84,6 +83,38 @@ class TestSearchCli:
     def test_search_unknown_critical_fails(self, capsys):
         assert search_main(["--critical", "nonesuch"]) == 1
         assert "critical buffers not in phases" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--nodes", "0,,2"], "--nodes must be comma-separated"),
+            (["--nodes", "x"], "--nodes must be comma-separated"),
+            (["--scale", "0"], "scale, nroots and threads must be >= 1"),
+            (["--threads", "0"], "scale, nroots and threads must be >= 1"),
+        ],
+    )
+    def test_search_malformed_input_fails_cleanly(self, capsys, argv, message):
+        assert search_main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--search-nodes", "0,,2"], "--search-nodes must be comma-separated"),
+            (["--search-scale", "0"], "scale, nroots and threads must be >= 1"),
+        ],
+    )
+    def test_experiments_search_malformed_input_fails_cleanly(
+        self, capsys, argv, message
+    ):
+        from repro.experiments import main as experiments_main
+
+        assert experiments_main(["search", *argv]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_workers_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_search_parser().parse_args(["--workers", "2"])
 
     def test_search_no_prune(self, capsys):
         assert search_main(["--no-prune", "--top-k", "1"]) == 0
