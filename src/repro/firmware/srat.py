@@ -6,6 +6,10 @@ OS node index, and assign each PU to the domain of its nearest
 conventional-DRAM node (falling back to the nearest node of any kind on
 DRAM-less platforms such as the Fugaku-like model) — mirroring how real
 firmware keeps default allocations on conventional memory.
+
+Nearness depends on a PU only through its locality group (package and
+SubNUMA cluster), so the domain is resolved once per group and shared by
+all of the group's PUs.
 """
 
 from __future__ import annotations
@@ -98,10 +102,11 @@ def build_srat(machine: MachineSpec) -> Srat:
     if not nodes:
         raise FirmwareError("machine has no NUMA nodes")
 
-    cpus = tuple(
-        SratCpuAffinity(pu=pu, proximity_domain=_cpu_domain(machine, pu, nodes))
-        for pu in range(machine.total_pus)
-    )
+    cpus = []
+    # A group's first PU stands for all of them (module docstring).
+    for _pkg, _grp, first, rng in machine.pu_ranges():
+        domain = _cpu_domain(machine, first, nodes)
+        cpus.extend(SratCpuAffinity(pu=pu, proximity_domain=domain) for pu in rng)
 
     # Lay memory ranges out contiguously in OS-index order, 1 GiB aligned,
     # purely so the table has plausible physical addresses.
@@ -119,4 +124,4 @@ def build_srat(machine: MachineSpec) -> Srat:
             )
         )
         base += (node.capacity + align - 1) // align * align
-    return Srat(cpus=cpus, memories=tuple(memories))
+    return Srat(cpus=tuple(cpus), memories=tuple(memories))

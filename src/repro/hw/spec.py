@@ -26,7 +26,9 @@ also exposed because Fig. 5 numbers nodes logically.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import SpecError
 from ..units import format_size
@@ -368,12 +370,26 @@ class MachineSpec:
     # ------------------------------------------------------------------
     # Locality / performance resolution between a PU and a node
     # ------------------------------------------------------------------
+    @cached_property
+    def _pu_locations(self) -> tuple[tuple[int, int], ...]:
+        # Built once per machine; lives in the instance __dict__, outside
+        # the dataclass fields, so equality, hashing and serialization
+        # never see it.
+        return tuple(
+            (pi, gi) for pi, gi, _first, rng in self.pu_ranges() for _ in rng
+        )
+
     def pu_location(self, pu: int) -> tuple[int, int]:
         """Return (package, group) of a PU; group is -1 for flat packages."""
-        for pi, gi, _first, rng in self.pu_ranges():
-            if pu in rng:
-                return pi, gi
-        raise SpecError(f"{self.name}: no PU {pu}")
+        table = self._pu_locations
+        try:
+            index = operator.index(pu)
+        except TypeError:
+            raise SpecError(f"{self.name}: no PU {pu!r}") from None
+        # Explicit bounds: a negative index would wrap around the table.
+        if not 0 <= index < len(table):
+            raise SpecError(f"{self.name}: no PU {pu}")
+        return table[index]
 
     def locality_class(self, pu: int, node: NodeInstance) -> str:
         """Classify an access: 'local' | 'cross_group' | 'cross_package'."""

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..errors import SimulationError
+from ..errors import SimulationError, TopologyError
+from ..topology.bitmap import Bitmap
 from ..topology.build import Topology
 from ..topology.objects import ObjType
 from .access import BufferAccess, PatternKind
@@ -51,15 +52,25 @@ class CacheModel:
 
         Sums the distinct last-level caches whose cpuset intersects the
         thread set (two SNCs ⇒ two LLC slices).  Platforms without an L3
-        (KNL) fall back to the aggregate L2.
+        (KNL) fall back to the aggregate L2.  PUs outside the topology
+        are an error, not a silent fallback to the default below.
         """
-        pu_set = set(pus)
-        if not pu_set:
+        try:
+            threads = Bitmap(pus)
+        except TopologyError as exc:
+            raise SimulationError(f"CacheModel PU set: {exc}") from None
+        if not threads:
             raise SimulationError("CacheModel needs at least one PU")
+        outside = threads.andnot(topology.root.cpuset)
+        if outside:
+            raise SimulationError(
+                f"CacheModel PUs {outside.to_list_syntax()} are not in "
+                f"the topology"
+            )
         for level in (ObjType.L3, ObjType.L2, ObjType.L1):
             total = 0
             for cache in topology.objs(level):
-                if any(cache.cpuset.isset(p) for p in pu_set):
+                if cache.cpuset.intersects(threads):
                     total += cache.attrs.get("size", 0)
             if total:
                 return cls(llc_bytes=total)

@@ -11,11 +11,26 @@ every operation returns a new bitmap.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Iterator
 
 from ..errors import TopologyError
 
 __all__ = ["Bitmap"]
+
+
+def _index(value) -> int:
+    """``value`` as a plain int index (numpy integers included).
+
+    Floats, strings and other non-integers raise :class:`TopologyError`;
+    the sign is left for the caller to check.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TopologyError(
+            f"bitmap index must be an integer, got {value!r}"
+        ) from None
 
 
 class Bitmap:
@@ -31,6 +46,8 @@ class Bitmap:
             return
         value = 0
         for b in bits:
+            if type(b) is not int:  # plain ints skip the call: hot loop
+                b = _index(b)
             if b < 0:
                 raise TopologyError(f"bitmap index must be non-negative, got {b}")
             value |= 1 << b
@@ -68,6 +85,7 @@ class Bitmap:
 
     # -- basic queries ----------------------------------------------------
     def isset(self, index: int) -> bool:
+        index = _index(index)
         return index >= 0 and bool(self._bits >> index & 1)
 
     def weight(self) -> int:
@@ -90,11 +108,13 @@ class Bitmap:
 
     # -- algebra ----------------------------------------------------------
     def set(self, index: int) -> "Bitmap":
+        index = _index(index)
         if index < 0:
             raise TopologyError("bitmap index must be non-negative")
         return Bitmap(self._bits | (1 << index))
 
     def clr(self, index: int) -> "Bitmap":
+        index = _index(index)
         if index < 0:
             raise TopologyError("bitmap index must be non-negative")
         return Bitmap(self._bits & ~(1 << index))

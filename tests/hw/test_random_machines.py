@@ -8,12 +8,18 @@ the topology, run native or benchmark discovery, and allocate through the
 attribute API.
 """
 
+import dataclasses
+from unittest import mock
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import MemAttrs, native_discovery
-from repro.firmware import build_slit, build_srat, build_sysfs
+from repro.errors import SpecError
+from repro.firmware import build_hmat, build_slit, build_srat, build_sysfs
+from repro.firmware.srat import SratCpuAffinity, _cpu_domain
 from repro.hw import (
+    CacheSpec,
     GroupSpec,
     MachineSpec,
     MemoryNodeSpec,
@@ -22,8 +28,9 @@ from repro.hw import (
     machine_to_dict,
     tech,
 )
-from repro.topology import build_topology, render_lstopo
-from repro.units import GB
+from repro.sim import CacheModel
+from repro.topology import ObjType, build_topology, render_lstopo
+from repro.units import GB, KiB, MiB
 
 TECH_NAMES = ("ddr4-xeon", "optane-nvdimm", "hbm2", "ddr5", "cxl-dram")
 
@@ -173,3 +180,123 @@ class TestFullStackOnRandomMachines:
         assert buf.allocation.total_pages > 0
         allocator.free(buf)
         assert not allocator.buffers
+
+
+# ----------------------------------------------------------------------
+# Table lookups against the linear scans they replaced
+# ----------------------------------------------------------------------
+@st.composite
+def cache_specs(draw):
+    levels = draw(st.sets(st.integers(1, 3), max_size=3))
+    return tuple(
+        CacheSpec(
+            level=level,
+            size=draw(st.integers(1, 64)) * (MiB if level == 3 else 64 * KiB),
+            shared=draw(st.booleans()),
+        )
+        for level in sorted(levels)
+    )
+
+
+@st.composite
+def machines_with_caches(draw):
+    """A random machine whose packages/groups carry random cache levels."""
+    machine = draw(machines())
+    packages = []
+    for pkg in machine.packages:
+        if pkg.groups:
+            groups = tuple(
+                dataclasses.replace(g, caches=draw(cache_specs()))
+                for g in pkg.groups
+            )
+            packages.append(dataclasses.replace(pkg, groups=groups))
+        else:
+            packages.append(dataclasses.replace(pkg, caches=draw(cache_specs())))
+    return dataclasses.replace(machine, packages=tuple(packages))
+
+
+def pu_subsets(machine):
+    return st.lists(
+        st.integers(0, machine.total_pus - 1), min_size=1, max_size=12
+    )
+
+
+def llc_oracle(topology, pus) -> int:
+    """Per-PU ``isset`` scan of every cache object (the old body)."""
+    pu_set = set(pus)
+    for level in (ObjType.L3, ObjType.L2, ObjType.L1):
+        total = 0
+        for cache in topology.objs(level):
+            if any(cache.cpuset.isset(p) for p in pu_set):
+                total += cache.attrs.get("size", 0)
+        if total:
+            return total
+    return 256 * 1024
+
+
+def pu_location_oracle(machine, pu):
+    """Linear scan of ``pu_ranges()`` (the old body)."""
+    for pi, gi, _first, rng in machine.pu_ranges():
+        if pu in rng:
+            return pi, gi
+    raise SpecError(f"{machine.name}: no PU {pu}")
+
+
+def srat_cpus_oracle(machine):
+    """One ``_cpu_domain`` pick per PU (the old body)."""
+    nodes = machine.numa_nodes()
+    return tuple(
+        SratCpuAffinity(pu=pu, proximity_domain=_cpu_domain(machine, pu, nodes))
+        for pu in range(machine.total_pus)
+    )
+
+
+class TestLookupOracles:
+    @settings(**COMMON)
+    @given(machine=machines_with_caches(), data=st.data())
+    def test_llc_lookup_matches_per_pu_scan(self, machine, data):
+        topo = build_topology(machine)
+        for _ in range(3):
+            pus = data.draw(pu_subsets(machine))
+            model = CacheModel.for_threads(topo, pus)
+            assert model.llc_bytes == llc_oracle(topo, pus)
+
+    @settings(**COMMON)
+    @given(machine=machines())
+    def test_pu_location_matches_range_scan(self, machine):
+        for pu in range(machine.total_pus):
+            assert machine.pu_location(pu) == pu_location_oracle(machine, pu)
+
+    @settings(**COMMON)
+    @given(machine=machines())
+    def test_pu_location_out_of_range_raises(self, machine):
+        for pu in (-1, machine.total_pus, 10**6):
+            with pytest.raises(SpecError):
+                machine.pu_location(pu)
+
+    @settings(**COMMON)
+    @given(machine=machines())
+    def test_srat_matches_per_pu_domains(self, machine):
+        assert build_srat(machine).cpus == srat_cpus_oracle(machine)
+
+    @settings(**COMMON)
+    @given(machine=machines(), local_only=st.booleans())
+    def test_hmat_unchanged_by_location_table(self, machine, local_only):
+        machine = dataclasses.replace(
+            machine, has_hmat=True, hmat_local_only=local_only
+        )
+        with mock.patch.object(
+            MachineSpec, "pu_location", pu_location_oracle
+        ):
+            expected = build_hmat(machine)
+        assert build_hmat(machine) == expected
+
+    @settings(**COMMON)
+    @given(machine=machines())
+    def test_location_table_invisible_to_identity(self, machine):
+        fresh = machine_from_dict(machine_to_dict(machine))
+        before = (hash(machine), machine_to_dict(machine))
+        machine.pu_location(0)
+        assert (hash(machine), machine_to_dict(machine)) == before
+        assert machine == fresh and hash(machine) == hash(fresh)
+        assert machine_from_dict(machine_to_dict(machine)) == machine

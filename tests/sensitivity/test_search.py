@@ -437,6 +437,55 @@ class TestBatchLeafPath:
                 )
             assert sigs[0] == sigs[1]
 
+    def test_batch_fill_reordered_and_default_buffers(
+        self, xeon_engine, monkeypatch
+    ):
+        """Phases list buffers in their own order (not the critical
+        order) and read a non-critical buffer that sits on a default node
+        outside the candidate axis; chunked batch rows must still equal
+        the scalar fallback bit for bit."""
+        import repro.sensitivity.search as mod
+
+        def acc(buf, pattern, mib_read, mib_written=0):
+            return BufferAccess(
+                buffer=buf, pattern=pattern,
+                bytes_read=mib_read * MiB, bytes_written=mib_written * MiB,
+                working_set=64 * MiB,
+            )
+
+        phases = (
+            KernelPhase("p0", threads=8, accesses=(
+                acc("c", PatternKind.RANDOM, 32),
+                acc("extra", PatternKind.STREAM, 256),
+                acc("a", PatternKind.STREAM, 512, 128),
+            )),
+            KernelPhase("p1", threads=16, accesses=(
+                acc("b", PatternKind.POINTER_CHASE, 8),
+                acc("a", PatternKind.RANDOM, 16, 4),
+            )),
+        )
+        sizes = {b: 64 * MiB for b in ("a", "b", "c", "extra")}
+        critical = ("a", "b", "c")
+        variants = {}
+        for label, min_leaves, max_rows in (
+            ("batch-chunked", 0, 3),
+            ("scalar-fallback", 10 ** 9, 1024),
+        ):
+            monkeypatch.setattr(mod, "_BATCH_LEAF_PATH", True)
+            monkeypatch.setattr(mod, "_BATCH_MIN_LEAVES", min_leaves)
+            monkeypatch.setattr(mod, "_BATCH_MAX_ROWS", max_rows)
+            variants[label] = self._signature(
+                search_placements(
+                    xeon_engine, phases, sizes, (0, 2, 3),
+                    default_node=1, critical_buffers=critical,
+                    pus=XEON_PUS, prune=False,
+                )
+            )
+        # 27 leaves: p0 reads 9 distinct (c, a) slices, p1 9 (b, a), so
+        # every phase spans several chunks of 3 rows.
+        assert variants["batch-chunked"][1] == 27
+        assert variants["batch-chunked"] == variants["scalar-fallback"]
+
     def test_memo_coherent_across_paths(self, xeon_engine, g500_setup):
         """A space primed by the batch path reuses its memo on the lazy
         path (and vice versa) — same keys, same floats."""

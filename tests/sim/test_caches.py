@@ -1,10 +1,13 @@
 """CPU-cache filter tests."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
+from repro.hw import MachineSpec, MemoryNodeSpec, PackageSpec, tech
 from repro.sim import BufferAccess, CacheModel, PatternKind, cache_filter
+from repro.topology import build_topology
 from repro.units import GB, MiB
 
 
@@ -102,6 +105,35 @@ class TestCacheModel:
     def test_empty_pus_rejected(self, xeon_topo):
         with pytest.raises(SimulationError):
             CacheModel.for_threads(xeon_topo, [])
+
+    def test_numpy_pus_match_int_pus(self, xeon_topo, knl_topo):
+        for topo, n in ((xeon_topo, 80), (knl_topo, 256)):
+            for pus in ([0], [0, n - 1], range(n)):
+                assert CacheModel.for_threads(
+                    topo, [np.int64(p) for p in pus]
+                ) == CacheModel.for_threads(topo, pus)
+
+    @pytest.mark.parametrize(
+        "pus, named", [([10**6], "1000000"), ([0, 80, 81], "80-81"), ([-1], "-1")]
+    )
+    def test_pus_outside_topology_rejected(self, xeon_topo, pus, named):
+        with pytest.raises(SimulationError, match=named):
+            CacheModel.for_threads(xeon_topo, pus)
+
+    def test_non_integer_pus_rejected(self, xeon_topo):
+        with pytest.raises(SimulationError):
+            CacheModel.for_threads(xeon_topo, [2.5])
+
+    def test_default_only_without_cache_objects(self):
+        machine = MachineSpec(
+            name="cacheless",
+            packages=(PackageSpec(cores=4),),
+            machine_memories=(MemoryNodeSpec(tech=tech("ddr4-xeon"), capacity=GB),),
+        )
+        topo = build_topology(machine)
+        assert CacheModel.for_threads(topo, [0, 3]).llc_bytes == 256 * 1024
+        with pytest.raises(SimulationError):
+            CacheModel.for_threads(topo, [4])
 
     def test_bad_share_rejected(self):
         a = access(PatternKind.RANDOM, GB, reads=8)

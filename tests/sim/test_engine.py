@@ -1,5 +1,6 @@
 """Engine pricing tests: roofline behaviour, locality, contention, splits."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -262,6 +263,23 @@ class TestBatchPricing:
     def test_prepare_rejects_empty_pus(self, xeon_engine):
         with pytest.raises(SimulationError):
             xeon_engine.prepare_phase(mixed_phase(), pus=())
+
+    def test_numpy_pus_price_like_int_pus(self, xeon_engine, knl_engine):
+        phase = mixed_phase(threads=4)
+        for engine, nodes in ((xeon_engine, (0, 2)), (knl_engine, (0, 4))):
+            for pus in ((0, 1, 2, 3), (0, 1, 40, 41)):
+                np_pus = tuple(np.array(pus))
+                for node in nodes:
+                    placement = Placement.single(a=node, b=nodes[0], c=node)
+                    assert engine.price_prepared(
+                        engine.prepare_phase(phase, pus=np_pus), placement
+                    ) == engine.price_prepared(
+                        engine.prepare_phase(phase, pus=pus), placement
+                    )
+
+    def test_prepare_rejects_pus_outside_topology(self, xeon_engine):
+        with pytest.raises(SimulationError, match="1000000"):
+            xeon_engine.prepare_phase(mixed_phase(), pus=(0, 10**6))
 
     def test_price_access_alone_below_full_pricing(self, xeon_engine):
         """The bound building block: an access alone on a node costs no

@@ -1,5 +1,6 @@
 """Bitmap algebra tests, heavily property-based."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,6 +37,41 @@ class TestConstruction:
     def test_parse_bad_span(self):
         with pytest.raises(TopologyError):
             Bitmap.parse("5-2")
+
+
+class TestIndexTypes:
+    """Indices go through ``operator.index``: numpy integers behave like
+    ints, non-integers are a TopologyError."""
+
+    def test_numpy_indices_construct(self):
+        assert Bitmap([np.int64(70)]) == Bitmap([70])
+        assert list(Bitmap([np.int64(3), np.int32(5)])) == [3, 5]
+        assert Bitmap(np.arange(4)) == Bitmap.from_range(0, 4)
+
+    def test_numpy_queries_and_updates(self):
+        b = Bitmap.from_range(0, 300)
+        assert b.isset(np.int64(250))
+        assert np.int64(299) in b and np.int64(300) not in b
+        assert not b.isset(np.int64(-1))
+        assert Bitmap().set(np.int64(200)) == Bitmap([200])
+        assert b.clr(np.int64(250)) == b.andnot(Bitmap([250]))
+
+    @pytest.mark.parametrize("bad", [2.0, 2.5, "2", None])
+    def test_non_integer_indices_rejected(self, bad):
+        with pytest.raises(TopologyError):
+            Bitmap([bad])
+        with pytest.raises(TopologyError):
+            Bitmap([1]).isset(bad)
+        with pytest.raises(TopologyError):
+            Bitmap([1]).set(bad)
+        with pytest.raises(TopologyError):
+            Bitmap([1]).clr(bad)
+
+    def test_negative_numpy_index_rejected(self):
+        with pytest.raises(TopologyError):
+            Bitmap([np.int64(-1)])
+        with pytest.raises(TopologyError):
+            Bitmap().set(np.int64(-1))
 
 
 class TestQueries:
