@@ -134,13 +134,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def parse_nodes(text: str, flag: str) -> tuple[int, ...]:
-    """Parse a comma-separated NUMA node list given to ``flag``."""
+    """Parse a comma-separated list of distinct NUMA nodes given to ``flag``."""
     try:
-        return tuple(int(n) for n in text.split(","))
+        nodes = tuple(int(n) for n in text.split(","))
     except ValueError:
         raise ValidationError(
             f"{flag} must be comma-separated node numbers, got {text!r}"
         ) from None
+    if len(set(nodes)) != len(nodes):
+        raise ValidationError(f"{flag} lists a node twice: {text!r}")
+    return nodes
 
 
 def build_search_parser() -> argparse.ArgumentParser:

@@ -298,6 +298,12 @@ class MachineSpec:
         order Fig. 2/Fig. 5 display.  OS order: sorted by
         (kind priority, logical order) — the order Linux would use.
         """
+        return self._numa_nodes
+
+    @cached_property
+    def _numa_nodes(self) -> tuple[NodeInstance, ...]:
+        # Resolved once per machine, outside the dataclass fields like
+        # _pu_locations; the nodes are frozen, so callers can share them.
         raw: list[tuple[MemoryNodeSpec, str, int | None, int | None, tuple[int, ...]]] = []
         ranges = self.pu_ranges()
 

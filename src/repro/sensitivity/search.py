@@ -34,6 +34,7 @@ processes than serially (docs/MODEL.md §7b).
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,78 +343,66 @@ class _SearchSpace:
             self._compiled_cache[idx] = compiled
         return compiled
 
-    def _price_combos(
-        self, combos: list[tuple[int, ...]]
-    ) -> list[float]:
-        """Price collected leaves through the batch engine, memo-coherently.
+    def _price_leaves(self, digits: np.ndarray) -> np.ndarray:
+        """Price collected leaves through the batch engine.
 
-        For each phase, the distinct not-yet-memoized placement slices are
-        priced through :meth:`SimEngine.price_placements_batch`, at most
-        :data:`_BATCH_MAX_ROWS` rows per call (in first-encounter order,
-        matching the lazy path's memo-fill order);
-        per-leaf totals then accumulate the memoized per-phase seconds in
-        phase order, exactly like :meth:`price_assignment` — so the floats
-        are bit-identical and ``self.pricings`` counts the same events.
+        ``digits`` holds one row per leaf: the candidate-node index of
+        each critical buffer.  For each distinct set of critical positions
+        a phase reads, the leaves are folded into integer codes, one
+        column at a time, re-ranked after every fold by ``np.unique`` so a
+        code stays below ``rows * kinds`` whatever the buffer count.  Only
+        the first leaf of each code is priced, through
+        :meth:`SimEngine.price_placements_batch` at most
+        :data:`_BATCH_MAX_ROWS` rows per call; rows price independently,
+        so their order changes no float.  Per-leaf totals add the phase
+        seconds in phase order, the same additions
+        :meth:`price_assignment` makes, so the totals are bit-identical
+        and ``self.pricings`` counts the same distinct (phase, slice)
+        pricings.
         """
-        if len(combos) < _BATCH_MIN_LEAVES:
-            return [
-                self.price_assignment(dict(zip(self.critical, cmb)))
-                for cmb in combos
-            ]
+        rows = len(digits)
+        kinds = len(self.candidate_nodes)
         crit_pos = {b: i for i, b in enumerate(self.critical)}
-        totals = [0.0] * len(combos)
-        # Phases reading the same buffers share one list of key tuples, so
-        # the memo does not hold a copy of every key per phase.
-        keys_by_positions: dict[tuple, list[tuple[int, ...]]] = {}
+        totals = np.zeros(rows)
+        # Critical positions read -> (first leaf of each slice, slice of
+        # every leaf).
+        slices: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
         for idx, bufs in enumerate(self.phase_buffers):
             positions = tuple(crit_pos.get(b) for b in bufs)
-            keys = keys_by_positions.get(positions)
-            if keys is None:
-                keys = keys_by_positions[positions] = [
-                    tuple(
-                        cmb[pos] if pos is not None else self.default_node
-                        for pos in positions
-                    )
-                    for cmb in combos
-                ]
-            missing: list[tuple[int, ...]] = []
-            seen: set[tuple[int, ...]] = set()
-            for key_nodes in keys:
-                if key_nodes in seen or (idx, key_nodes) in self.memo:
-                    continue
-                seen.add(key_nodes)
-                missing.append(key_nodes)
-            if missing:
-                compiled = self._compiled(idx)
-                # Node id -> node-axis column; ids off the axis map past
-                # the last column, so the assignment below would raise.
-                pos = compiled.node_pos
-                node_col_of = np.full(
-                    max(pos) + 1, compiled.n_nodes, dtype=np.intp
+            read = tuple(sorted({p for p in positions if p is not None}))
+            found = slices.get(read)
+            if found is None:
+                # After each fold the code is a dense rank, 0..slices-1.
+                code = np.zeros(rows, dtype=np.intp)
+                for p in read:
+                    code = np.unique(
+                        code * kinds + digits[:, p], return_inverse=True
+                    )[1]
+                first = np.unique(code, return_index=True)[1]
+                found = slices[read] = (first, code)
+            first, inverse = found
+            compiled = self._compiled(idx)
+            # The node axis starts with the candidate nodes in order, so a
+            # candidate index is its column; non-critical buffers sit on
+            # the default node's column.
+            default_col = compiled.node_pos[self.default_node]
+            cols = np.empty((len(first), compiled.n_buffers), dtype=np.intp)
+            for b, p in enumerate(positions):
+                cols[:, b] = default_col if p is None else digits[first, p]
+            buffer_row = np.arange(compiled.n_buffers)
+            secs = np.empty(len(first))
+            # Chunking bounds the batch engine's temporaries.
+            for start in range(0, len(first), _BATCH_MAX_ROWS):
+                chunk = cols[start : start + _BATCH_MAX_ROWS]
+                frac = np.zeros(
+                    (len(chunk), compiled.n_buffers, compiled.n_nodes)
                 )
-                node_col_of[list(pos)] = list(pos.values())
-                # ``compiled.buffers`` is the phase's access order, which
-                # is also the column order of every key tuple.
-                buffer_row = np.arange(compiled.n_buffers)
-                # Rows price independently, so chunking bounds the batch
-                # engine's temporaries without changing a single float.
-                for start in range(0, len(missing), _BATCH_MAX_ROWS):
-                    chunk = missing[start : start + _BATCH_MAX_ROWS]
-                    node_col = node_col_of[np.array(chunk, dtype=np.intp)]
-                    frac = np.zeros(
-                        (len(chunk), compiled.n_buffers, compiled.n_nodes)
-                    )
-                    frac[
-                        np.arange(len(chunk))[:, None],
-                        buffer_row,
-                        node_col,
-                    ] = 1.0
-                    batch = self.engine.price_placements_batch(compiled, frac)
-                    for key_nodes, secs in zip(chunk, batch.seconds.tolist()):
-                        self.memo[(idx, key_nodes)] = secs
-                self.pricings += len(missing)
-            for i, key_nodes in enumerate(keys):
-                totals[i] += self.memo[(idx, key_nodes)]
+                frac[np.arange(len(chunk))[:, None], buffer_row, chunk] = 1.0
+                secs[start : start + len(chunk)] = (
+                    self.engine.price_placements_batch(compiled, frac).seconds
+                )
+            self.pricings += len(first)
+            totals += secs[inverse]
         return totals
 
     def price_assignment(self, assignment: dict[str, int]) -> float:
@@ -573,10 +562,11 @@ class _SearchSpace:
 
         The walk is the same recursive assignment with identical prefix
         capacity pruning and budget truncation; leaves are collected in
-        walk order and priced through :meth:`_price_combos`.  Sorting all
-        priced leaves and slicing ``top_k`` equals the lazy path's heap
-        under the total ``(seconds, combo)`` order, so results and stats
-        are unchanged — only wall-clock drops.
+        walk order as candidate indices and priced through
+        :meth:`_price_leaves`.  Ordering every priced leaf by
+        ``(seconds, node ids)`` and slicing ``top_k`` equals the lazy
+        path's heap under the same total order, so results and stats are
+        unchanged — only wall-clock drops.
         """
         nodes = self.candidate_nodes
         n_nodes = len(nodes)
@@ -590,13 +580,13 @@ class _SearchSpace:
             "bound_pruned": 0,
             "truncated": False,
         }
-        combos: list[tuple[int, ...]] = []
+        leaves: list[tuple[int, ...]] = []
 
         def collect_leaf() -> None:
             if budget is not None and stats["leaves_priced"] >= budget:
                 stats["truncated"] = True
                 raise _BudgetExhausted
-            combos.append(tuple(combo))
+            leaves.append(tuple(combo))
             stats["leaves_priced"] += 1
 
         def walk(depth: int) -> None:
@@ -604,13 +594,13 @@ class _SearchSpace:
                 collect_leaf()
                 return
             need = self.sizes[depth]
-            for node in nodes:
+            for k, node in enumerate(nodes):
                 if self.capacity is not None:
                     limit = self.capacity.get(node)  # missing => unlimited
                     if limit is not None and used.get(node, 0) + need > limit:
                         stats["capacity_pruned"] += subtree[depth]
                         continue
-                combo[depth] = node
+                combo[depth] = k
                 used[node] = used.get(node, 0) + need
                 try:
                     walk(depth + 1)
@@ -622,10 +612,23 @@ class _SearchSpace:
         except _BudgetExhausted:
             pass
 
-        seconds = self._price_combos(combos)
-        all_results = sorted(zip(seconds, combos))
-        if top_k is not None:
-            all_results = all_results[:top_k]
+        digits = np.array(leaves, dtype=np.intp).reshape(len(leaves), n_crit)
+        node_ids = np.array(nodes, dtype=np.int64)[digits]
+        if len(leaves) < _BATCH_MIN_LEAVES:
+            seconds = np.array(
+                [
+                    self.price_assignment(dict(zip(self.critical, row)))
+                    for row in node_ids.tolist()
+                ]
+            )
+        else:
+            seconds = self._price_leaves(digits)
+        # np.lexsort's last key is the primary one: seconds, then the
+        # node ids left to right.
+        order = np.lexsort((*node_ids.T[::-1], seconds))[:top_k]
+        all_results = list(
+            zip(seconds[order].tolist(), map(tuple, node_ids[order].tolist()))
+        )
         stats["slice_pricings"] = self.pricings
         stats["bound_pricings"] = 0
         return all_results, stats
@@ -678,6 +681,9 @@ def search_placements(
         Callable receiving ``stats.report()`` when the search finishes
         (notably the truncation report).
     """
+    # Normalised before the span records them: numpy integers would not
+    # serialize, and a plain int is what every assignment returns.
+    candidate_nodes = tuple(_node_id(n) for n in candidate_nodes)
     if not OBS.enabled:
         return _search_placements_impl(
             engine,
@@ -735,6 +741,28 @@ def search_placements(
         return result
 
 
+def _node_id(node) -> int:
+    try:
+        return operator.index(node)
+    except TypeError:
+        raise ReproError(f"node ids must be integers, got {node!r}") from None
+
+
+def _positive_count(value, name: str) -> int | None:
+    if value is None:
+        return None
+    # bool is an int subclass, but top_k=True is a mistake, not 1.
+    if isinstance(value, bool):
+        raise ReproError(f"{name} must be an integer, got {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ReproError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ReproError(f"{name} must be >= 1, got {value}")
+    return value
+
+
 def _search_placements_impl(
     engine: SimEngine,
     phases: tuple[KernelPhase, ...],
@@ -766,13 +794,15 @@ def _search_placements_impl(
     unknown = set(critical) - set(all_buffers)
     if unknown:
         raise ReproError(f"critical buffers not in phases: {sorted(unknown)}")
+    if len(set(critical)) != len(critical):
+        raise ReproError(f"duplicate critical buffers: {list(critical)}")
     if not candidate_nodes:
         raise ReproError("need at least one candidate node")
-    candidate_nodes = tuple(candidate_nodes)
-    if top_k is not None and top_k < 1:
-        raise ReproError(f"top_k must be >= 1, got {top_k}")
-    if max_candidates is not None and max_candidates < 1:
-        raise ReproError(f"max_candidates must be >= 1, got {max_candidates}")
+    if len(set(candidate_nodes)) != len(candidate_nodes):
+        raise ReproError(f"duplicate candidate nodes: {list(candidate_nodes)}")
+    default_node = _node_id(default_node)
+    top_k = _positive_count(top_k, "top_k")
+    max_candidates = _positive_count(max_candidates, "max_candidates")
 
     # Not bound to a name: the space's pricing memo is freed before the
     # candidates are built, which keeps the peak memory of exhaustive

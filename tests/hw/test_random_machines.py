@@ -28,6 +28,7 @@ from repro.hw import (
     machine_to_dict,
     tech,
 )
+from repro.hw.spec import AttachLevel, NodeInstance
 from repro.sim import CacheModel
 from repro.topology import ObjType, build_topology, render_lstopo
 from repro.units import GB, KiB, MiB
@@ -242,6 +243,60 @@ def pu_location_oracle(machine, pu):
     raise SpecError(f"{machine.name}: no PU {pu}")
 
 
+def numa_nodes_oracle(machine):
+    """Resolve the NUMA nodes from scratch on every call (the old body)."""
+    raw = []
+    ranges = machine.pu_ranges()
+
+    def group_pus(pi, gi):
+        for rp, rg, _first, rng in ranges:
+            if rp == pi and rg == gi:
+                return tuple(rng)
+        return ()
+
+    def package_pus(pi):
+        out = []
+        for rp, _rg, _first, rng in ranges:
+            if rp == pi:
+                out.extend(rng)
+        return tuple(out)
+
+    for pi, pkg in enumerate(machine.packages):
+        if pkg.groups:
+            for gi, grp in enumerate(pkg.groups):
+                for mem in grp.memories:
+                    raw.append((mem, AttachLevel.GROUP, pi, gi, group_pus(pi, gi)))
+        for mem in pkg.memories:
+            raw.append((mem, AttachLevel.PACKAGE, pi, None, package_pus(pi)))
+    all_pus = tuple(range(machine.total_pus))
+    for mem in machine.machine_memories:
+        raw.append((mem, AttachLevel.MACHINE, None, None, all_pus))
+    level_rank = {AttachLevel.GROUP: 0, AttachLevel.PACKAGE: 1, AttachLevel.MACHINE: 2}
+    raw.sort(
+        key=lambda r: (
+            99 if r[2] is None else r[2],
+            level_rank[r[1]],
+            -1 if r[3] is None else r[3],
+        )
+    )
+    os_order = sorted(
+        range(len(raw)), key=lambda i: (raw[i][0].kind.os_numbering_priority, i)
+    )
+    os_index_of = {raw_i: os_i for os_i, raw_i in enumerate(os_order)}
+    return tuple(
+        NodeInstance(
+            os_index=os_index_of[i],
+            logical_index=i,
+            spec=mem,
+            attach_level=level,
+            package=pi,
+            group=gi,
+            local_pu_indices=pus,
+        )
+        for i, (mem, level, pi, gi, pus) in enumerate(raw)
+    )
+
+
 def srat_cpus_oracle(machine):
     """One ``_cpu_domain`` pick per PU (the old body)."""
     nodes = machine.numa_nodes()
@@ -300,3 +355,21 @@ class TestLookupOracles:
         assert (hash(machine), machine_to_dict(machine)) == before
         assert machine == fresh and hash(machine) == hash(fresh)
         assert machine_from_dict(machine_to_dict(machine)) == machine
+
+    @settings(**COMMON)
+    @given(machine=machines())
+    def test_numa_nodes_match_resolution_oracle(self, machine):
+        assert machine.numa_nodes() == numa_nodes_oracle(machine)
+        assert machine.numa_nodes() is machine.numa_nodes()
+
+    @settings(**COMMON)
+    @given(machine=machines())
+    def test_node_table_invisible_to_identity(self, machine):
+        """The resolved node table lives outside the dataclass fields:
+        a machine without it compares, hashes and serializes the same."""
+        bare = machine_from_dict(machine_to_dict(machine))
+        del bare.__dict__["_numa_nodes"]
+        assert "_numa_nodes" in machine.__dict__
+        assert machine == bare and hash(machine) == hash(bare)
+        assert machine_to_dict(machine) == machine_to_dict(bare)
+        assert "_numa_nodes" not in {f.name for f in dataclasses.fields(machine)}

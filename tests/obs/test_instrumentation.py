@@ -12,6 +12,7 @@ from repro import obs
 from repro.errors import CapacityError
 from repro.kernel import AutoTierDaemon, TierConfig, bind_policy
 from repro.obs import OBS
+from repro.obs.tracer import to_jsonl
 from repro.sensitivity import search_placements
 from repro.sim import BufferAccess, KernelPhase, PatternKind
 from repro.units import GB, MiB
@@ -176,6 +177,31 @@ class TestSimAndSearchHooks:
         (span,) = [r for r in OBS.tracer.finished() if r.name == "search.placements"]
         assert span.fields["leaves_priced"] == result.stats.leaves_priced
         assert span.fields["best_seconds"] == result.candidates[0].seconds
+
+    def test_search_span_records_plain_node_ids(self, xeon_engine):
+        """numpy node ids reach the span as ints, so JSONL export works."""
+        np = pytest.importorskip("numpy")
+        obs.enable()
+        phase = KernelPhase(
+            name="p",
+            threads=8,
+            accesses=(
+                BufferAccess(
+                    buffer="x",
+                    pattern=PatternKind.STREAM,
+                    bytes_read=64 * MiB,
+                    working_set=64 * MiB,
+                ),
+            ),
+        )
+        search_placements(
+            xeon_engine, (phase,), {"x": 64 * MiB}, np.array([0, 2]),
+            default_node=np.int64(0), pus=XEON_PUS,
+        )
+        (span,) = [r for r in OBS.tracer.finished() if r.name == "search.placements"]
+        assert span.fields["nodes"] == [0, 2]
+        assert all(type(n) is int for n in span.fields["nodes"])
+        assert '"nodes": [0, 2]' in to_jsonl(OBS.tracer)
 
 
 class TestDisabledPathRecordsNothing:

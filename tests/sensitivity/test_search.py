@@ -523,3 +523,220 @@ class TestBatchLeafPath:
         assert vec._touch == ref._touch
         assert vec._suffix_lat == ref._suffix_lat
         assert vec._suffix_bw == ref._suffix_bw
+
+
+class TestInputValidation:
+    """Malformed search inputs fail with a typed error instead of
+    returning duplicated or mistyped candidates."""
+
+    def test_duplicate_candidate_nodes_rejected(self, knl_engine):
+        model = TrafficModel.analytic(18)
+        phases = model.phases(Graph500Config(scale=18, nroots=1, threads=16))
+        with pytest.raises(ReproError, match="duplicate candidate nodes"):
+            search_placements(
+                knl_engine, phases, model.buffer_sizes(), (0, 0, 4),
+                default_node=0, pus=KNL_PUS, top_k=3,
+            )
+
+    def test_duplicate_critical_buffers_rejected(self, xeon_engine, g500_setup):
+        phases, sizes = g500_setup
+        with pytest.raises(ReproError, match="duplicate critical buffers"):
+            search_placements(
+                xeon_engine, phases, sizes, (0, 2), default_node=0,
+                critical_buffers=("parent", "parent"), pus=XEON_PUS,
+            )
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("top_k", 2.5), ("top_k", True), ("top_k", "3"),
+            ("max_candidates", 1.5), ("max_candidates", False),
+        ],
+    )
+    def test_non_integer_counts_rejected(
+        self, xeon_engine, g500_setup, knob, value
+    ):
+        phases, sizes = g500_setup
+        with pytest.raises(ReproError, match=f"{knob} must be an integer"):
+            search_placements(
+                xeon_engine, phases, sizes, (0, 2), default_node=0,
+                pus=XEON_PUS, **{knob: value},
+            )
+
+    @pytest.mark.parametrize("nodes", [(0, 2.0), (0, "2"), (0, None)])
+    def test_non_integer_node_rejected(self, xeon_engine, g500_setup, nodes):
+        phases, sizes = g500_setup
+        with pytest.raises(ReproError, match="node ids must be integers"):
+            search_placements(
+                xeon_engine, phases, sizes, nodes, default_node=0,
+                pus=XEON_PUS,
+            )
+
+    def test_numpy_integers_normalised(self, xeon_engine, g500_setup):
+        np = pytest.importorskip("numpy")
+        phases, sizes = g500_setup
+        plain = search_placements(
+            xeon_engine, phases, sizes, (0, 2), default_node=0,
+            pus=XEON_PUS, top_k=5, max_candidates=12,
+        )
+        for lazy in (True, False):
+            numpy_ids = search_placements(
+                xeon_engine, phases, sizes, np.array([0, 2]),
+                default_node=np.int64(0), pus=XEON_PUS,
+                top_k=np.int64(5), max_candidates=np.int32(12),
+                prune=lazy,
+            )
+            assert numpy_ids.candidates == plain.candidates
+            for cand in numpy_ids.candidates:
+                assert all(type(n) is int for _, n in cand.assignment)
+
+
+def _differential_space(rng: random.Random, node_pool: tuple[int, ...]):
+    """A random search space with ties, capacities, budgets and
+    non-critical buffers, plus the search keywords to run it with."""
+    phases, sizes = _random_workload(rng)
+    if rng.random() < 0.5:
+        # Two single-buffer phases with equal accesses on equal-sized
+        # buffers: swapping their nodes prices the same, which ties.
+        twin = rng.choice(phases[0].accesses)
+        sizes["t0"] = sizes["t1"] = twin.working_set
+        phases += tuple(
+            KernelPhase(
+                name=f"twin{i}", threads=8,
+                accesses=(
+                    BufferAccess(
+                        buffer=f"t{i}", pattern=twin.pattern,
+                        bytes_read=twin.bytes_read,
+                        bytes_written=twin.bytes_written,
+                        working_set=twin.working_set,
+                    ),
+                ),
+            )
+            for i in (0, 1)
+        )
+    used = sorted({a.buffer for ph in phases for a in ph.accesses})
+    critical = rng.sample(used, rng.randint(1, len(used)))
+    nodes = tuple(rng.sample(node_pool, rng.randint(1, min(4, len(node_pool)))))
+    kw = {
+        "critical_buffers": tuple(critical),
+        "default_node": rng.choice(node_pool),
+        "top_k": rng.choice((None, 1, 3, 7)),
+        "max_candidates": None,
+        "node_capacity": None,
+    }
+    space = len(nodes) ** len(critical)
+    if rng.random() < 0.4:
+        kw["max_candidates"] = rng.randint(1, space)
+    if rng.random() < 0.4:
+        kw["node_capacity"] = {
+            n: rng.choice((0, 1, 2, 4)) * 128 * MiB
+            for n in rng.sample(nodes, rng.randint(1, len(nodes)))
+        }
+    return phases, sizes, nodes, kw
+
+
+class TestBatchDifferential:
+    """The array-native batch leaf path against the lazy scalar walk
+    (``_BATCH_LEAF_PATH=False``), over seeded random spaces."""
+
+    @staticmethod
+    def _signature(result):
+        s = result.stats
+        return (
+            [(c.assignment, c.seconds) for c in result.candidates],
+            s.leaves_priced, s.capacity_pruned, s.slice_pricings,
+            s.truncated, s.kept,
+        )
+
+    def _both(self, monkeypatch, engine, phases, sizes, nodes, pus, kw,
+              max_rows):
+        import repro.sensitivity.search as mod
+        out = []
+        for flag in (True, False):
+            monkeypatch.setattr(mod, "_BATCH_LEAF_PATH", flag)
+            monkeypatch.setattr(mod, "_BATCH_MIN_LEAVES", 0)
+            monkeypatch.setattr(mod, "_BATCH_MAX_ROWS", max_rows)
+            try:
+                result = search_placements(
+                    engine, phases, sizes, nodes, pus=pus, prune=False, **kw
+                )
+            except ReproError as exc:   # nothing feasible: both must agree
+                out.append(str(exc))
+                continue
+            for cand in result.candidates:
+                assert all(type(n) is int for _, n in cand.assignment)
+            out.append(self._signature(result))
+        return out
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_spaces(self, xeon_engine, knl_engine, monkeypatch, seed):
+        rng = random.Random(9000 + seed)
+        engine, pool, pus = (
+            (xeon_engine, (0, 1, 2, 3), XEON_PUS) if seed % 2
+            else (knl_engine, tuple(range(8)), KNL_PUS)
+        )
+        phases, sizes, nodes, kw = _differential_space(rng, pool)
+        batch, lazy = self._both(
+            monkeypatch, engine, phases, sizes, nodes, pus, kw,
+            max_rows=rng.choice((1, 2, 3, 1024)),
+        )
+        assert batch == lazy
+
+    def test_ties_ordered_by_node_ids(self, xeon_engine, monkeypatch):
+        phases, sizes = _tied_workload()
+        # Candidate order is not ascending: the order must follow node
+        # ids, not walk order.
+        batch, lazy = self._both(
+            monkeypatch, xeon_engine, phases, sizes, (3, 0, 2), XEON_PUS,
+            {"default_node": 0}, max_rows=2,
+        )
+        assert batch == lazy
+        seconds = [sec for _, sec in batch[0]]
+        assert len(set(seconds)) < len(seconds), "workload should tie"
+
+    @pytest.mark.parametrize("shape", ["budget", "capacity"])
+    def test_wide_phase_codes_do_not_overflow(
+        self, knl_engine, monkeypatch, shape
+    ):
+        """One phase reads 23 critical buffers over 8 nodes, so a leaf's
+        code in base 8 or 9 needs more than 63 bits.  ``budget`` stops the
+        walk after 200 leaves; ``capacity`` lets only the first buffer
+        leave node 0, so the leaves differ in their leading digit alone,
+        which a base-8 int64 code would wrap to the same value."""
+        names = [f"w{i:02d}" for i in range(23)]
+        patterns = (PatternKind.STREAM, PatternKind.RANDOM)
+        wide = KernelPhase(
+            name="wide", threads=16,
+            accesses=tuple(
+                BufferAccess(
+                    buffer=b, pattern=patterns[i % 2],
+                    bytes_read=(4 + i) * MiB, working_set=64 * MiB,
+                )
+                for i, b in enumerate(names)
+            ),
+        )
+        narrow = KernelPhase(
+            name="narrow", threads=8,
+            accesses=tuple(
+                BufferAccess(
+                    buffer=b, pattern=PatternKind.POINTER_CHASE,
+                    bytes_read=8 * MiB, working_set=64 * MiB,
+                )
+                for b in names[::11]
+            ),
+        )
+        sizes = dict.fromkeys(names, 64 * MiB)
+        kw = {"default_node": 0, "max_candidates": 200}
+        if shape == "capacity":
+            sizes.update(dict.fromkeys(names[1:], 1024 * MiB))
+            kw["node_capacity"] = dict.fromkeys(range(1, 8), 512 * MiB)
+        batch, lazy = self._both(
+            monkeypatch, knl_engine, (wide, narrow), sizes,
+            tuple(range(8)), KNL_PUS, kw, max_rows=64,
+        )
+        assert batch == lazy
+        leaves, truncated = batch[1], batch[4]
+        assert (leaves, truncated) == (
+            (200, True) if shape == "budget" else (8, False)
+        )
+        assert len({sec for _, sec in batch[0]}) > 1

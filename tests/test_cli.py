@@ -89,6 +89,7 @@ class TestSearchCli:
         [
             (["--nodes", "0,,2"], "--nodes must be comma-separated"),
             (["--nodes", "x"], "--nodes must be comma-separated"),
+            (["--nodes", "0,0,4"], "--nodes lists a node twice"),
             (["--scale", "0"], "scale, nroots and threads must be >= 1"),
             (["--threads", "0"], "scale, nroots and threads must be >= 1"),
         ],
@@ -101,6 +102,7 @@ class TestSearchCli:
         "argv, message",
         [
             (["--search-nodes", "0,,2"], "--search-nodes must be comma-separated"),
+            (["--search-nodes", "0,2,0"], "--search-nodes lists a node twice"),
             (["--search-scale", "0"], "scale, nroots and threads must be >= 1"),
         ],
     )
