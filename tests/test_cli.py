@@ -89,9 +89,9 @@ class TestSearchCli:
         [
             (["--nodes", "0,,2"], "--nodes must be comma-separated"),
             (["--nodes", "x"], "--nodes must be comma-separated"),
-            (["--nodes", "0,0,4"], "--nodes lists a node twice"),
             (["--scale", "0"], "scale, nroots and threads must be >= 1"),
             (["--threads", "0"], "scale, nroots and threads must be >= 1"),
+            (["--nodes", "0,0,4"], "--nodes lists a node twice"),
         ],
     )
     def test_search_malformed_input_fails_cleanly(self, capsys, argv, message):
@@ -102,8 +102,8 @@ class TestSearchCli:
         "argv, message",
         [
             (["--search-nodes", "0,,2"], "--search-nodes must be comma-separated"),
-            (["--search-nodes", "0,2,0"], "--search-nodes lists a node twice"),
             (["--search-scale", "0"], "scale, nroots and threads must be >= 1"),
+            (["--search-nodes", "0,2,0"], "--search-nodes lists a node twice"),
         ],
     )
     def test_experiments_search_malformed_input_fails_cleanly(
